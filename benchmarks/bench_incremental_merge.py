@@ -40,9 +40,8 @@ def build_engines(n_engines, delta, seed=12):
     rng = np.random.default_rng(seed)
     engines = []
     for i in range(n_engines):
-        engine = AnalysisEngine(
-            f"e{i:03d}", delta_snapshots=delta, keyframe_every=8
-        )
+        # keyframe_every=1 makes every snapshot full (the old path).
+        engine = AnalysisEngine(f"e{i:03d}", keyframe_every=8 if delta else 1)
         for h in range(HISTS_PER_TREE):
             hist = Histogram1D(f"h{h}", bins=BINS, lower=0.0, upper=1.0)
             hist.fill_array(rng.random(200), rng.random(200))

@@ -47,24 +47,27 @@ def stage_with(strategy, weights):
             WorkerNode(env, name, NodeSpec(disk_read_mbps=10_000, disk_write_mbps=10_000))
         )
     ftp = GridFTPService(env, net, setup_overhead=0.0)
-    splitter = SplitterService(env, se, ftp, split_rate=0.25)
+    splitter = SplitterService(split_rate=0.25)
     location = DatasetLocation(
         "ds", "gridftp", "se", "/ds", SIZE_MB, N_EVENTS, "se"
     )
+    parts = splitter.plan_parts(
+        location, [w.name for w in workers], strategy, event_weights=weights
+    )
     report = env.run(
-        until=splitter.split_and_scatter(
-            location, workers, strategy=strategy, event_weights=weights
+        until=ftp.scatter(
+            se, workers, [(f"ds.part{p.part_index}", p.size_mb) for p in parts]
         )
     )
-    sizes = np.array([p.size_mb for p in report.parts])
+    sizes = np.array([p.size_mb for p in parts])
     # Straggler model: each engine's analysis time is proportional to its
     # part size; the session waits for the slowest.
     analysis = float(sizes.max()) * 0.58
     return {
         "skew": float(sizes.max() / sizes.mean()),
-        "move_parts": report.move_parts_seconds,
+        "move_parts": report.duration,
         "analysis": analysis,
-        "total": report.move_parts_seconds + analysis,
+        "total": report.duration + analysis,
         "sizes": sizes,
     }
 

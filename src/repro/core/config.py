@@ -80,9 +80,8 @@ class Calibration:
     chunk_events: int = 500
     snapshot_every_chunks: int = 1
     #: Engines publish delta snapshots (changed objects only) between full
-    #: keyframes; the AIDA manager merges them incrementally.
-    delta_snapshots: bool = True
-    #: Full-keyframe cadence in delta mode (1 = every snapshot is full).
+    #: keyframes, one every this many snapshots (1 = every snapshot is
+    #: full); the AIDA manager merges them incrementally.
     keyframe_every_snapshots: int = 8
 
     def __post_init__(self) -> None:

@@ -412,12 +412,8 @@ class GridSite:
         self.catalog = DatasetCatalogService()
         self.locator = LocatorService(site_id=self.name)
         self.splitter = SplitterService(
-            env,
-            self.storage,
-            self.ftp,
             split_rate=cal.split_rate_s_per_mb,
             per_file_overhead=cal.split_per_file_overhead_s,
-            obs=self.obs,
         )
         self.registry = WorkerRegistryService(env, obs=self.obs)
         self.codeloader = ManagingClassLoaderService(

@@ -23,10 +23,12 @@ package supplies that mechanism:
   session service stages through (warm-hit classification, reference
   alignment, registration, pinning, invalidation, metrics).
 
-The session service consults the catalog before every stage: a warm hit
-skips the WAN fetch and/or the scatter entirely, a partial hit moves only
-the missing parts, and a fully cold stage falls through to the original
-§3.4 pipeline with bit-identical timings.
+The session service stages every dataset through one §3.4 pipeline
+driven by the manager's per-part plan: a warm hit skips the WAN fetch
+and/or the scatter entirely, a partial hit moves only the missing parts,
+and a fully cold stage (every part ``missing``, as on a site without a
+replica manager) runs the plain fetch-split-scatter with bit-identical
+timings.
 """
 
 from repro.replica.cache import CacheEntry, NodeCache

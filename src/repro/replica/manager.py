@@ -50,7 +50,8 @@ class PartSource:
     """
 
     part: PartDescriptor
-    key: str
+    #: Catalog key of the part (``None`` on a site without replicas).
+    key: Optional[str]
     kind: str
     source: Optional[str] = None
 

@@ -7,8 +7,9 @@ context of this session" (§3.2).  The session service:
 1. creates a WSRF session resource per authorized client,
 2. starts the pre-configured number of analysis engines through GRAM on
    the dedicated interactive queue and waits for their ready signals,
-3. stages datasets (locator → optional whole-file fetch → splitter →
-   scatter → per-engine load directives),
+3. stages datasets through one pipeline (locator → per-part source plan
+   → optional catalog consult and whole-file fetch → split pass or range
+   queries → scatter + peer fetches → per-engine load directives),
 4. stages/reloads analysis code through the managing class loader,
 5. fans out run/pause/stop/rewind/step controls,
 6. monitors engine heartbeats and recovers from worker failures by
@@ -72,6 +73,7 @@ from repro.grid.scheduler import JobState
 from repro.grid.security import Certificate, SecurityContext
 from repro.grid.transfer import GridFTPService, TransferError
 from repro.obs import NULL_OBS, Observability
+from repro.replica.manager import PartSource, StagePlan
 from repro.resilience.checkpoint import CheckpointStore, DurabilityConfig
 from repro.resilience.faults import ServiceUnavailable
 from repro.resilience.heartbeat import HeartbeatMonitor, RecoveryConfig
@@ -82,7 +84,7 @@ from repro.services.codeloader import ManagingClassLoaderService
 from repro.services.content import ContentStore
 from repro.services.locator import DatasetLocation, LocatorService
 from repro.services.registry import EngineReference, WorkerRegistryService
-from repro.services.splitter import PartDescriptor, SplitterService, StageReport
+from repro.services.splitter import PartDescriptor, SplitterService
 from repro.services.wsrf import ResourceHome, ResourceRef
 from repro.sim import Environment, Interrupt, LinkDown, NodeCrash, NodeFailure, NodeHang, Store
 
@@ -195,7 +197,6 @@ class EngineHost:
             engine_id,
             chunk_events=calibration.chunk_events,
             snapshot_every_chunks=calibration.snapshot_every_chunks,
-            delta_snapshots=getattr(calibration, "delta_snapshots", True),
             keyframe_every=getattr(calibration, "keyframe_every_snapshots", 8),
         )
         self.mailbox: Optional[Store] = None
@@ -845,187 +846,73 @@ class SessionService:
     ):
         """Stage a dataset onto the session's workers (generator operation).
 
-        With a replica manager attached the catalog is consulted first: a
-        warm hit skips the WAN fetch and/or the scatter entirely, a
-        partial hit moves only the missing parts (peer-to-peer from other
-        worker caches where that is cheaper than the SE spindle), and a
-        fully cold stage falls through to the original §3.4 pipeline with
-        bit-identical timings.  Returns the :class:`StagedDataset`
-        bookkeeping (with the per-phase timing breakdown the benchmarks
-        print).
+        Every stage runs one §3.4 pipeline over a per-part source plan:
+        catalog consult → WAN fetch of the whole file → split pass (or
+        range-query planning) → one scatter of the ``se`` and ``missing``
+        parts alongside peer-to-peer fetches → replica bookkeeping → part
+        hand-out to the engines.  Without a replica manager every part is
+        planned ``missing``.  With one, a warm hit skips the fetch and/or
+        the scatter, and a partial hit moves only the parts no worker
+        caches (from a peer cache where that is cheaper than the SE
+        spindle).  A fully cold stage whose fetch cannot be skipped charges
+        no catalog consult, so its timings equal a cache-off site's.
+        Returns the :class:`StagedDataset` bookkeeping (with the per-phase
+        timing breakdown the benchmarks print).
         """
         session = self._session(session_id)
         entry = self.catalog.entry(dataset_id)
         location = self.locator.locate(dataset_id)
         rm = self.replicas
-
-        plan = keys = None
-        if rm is not None:
+        references = session["references"]
+        parts = self.splitter.plan_parts(
+            location, [ref.worker for ref in references], strategy
+        )
+        keys = None
+        if rm is None:
+            # No replicas: every part must be produced.
+            plan = StagePlan(
+                dataset_id, [PartSource(part, None, "missing") for part in parts]
+            )
+        else:
             if session["dataset"] is not None:
                 # Dataset switch: release the previous dataset's pins so
                 # its cached parts become evictable.
                 rm.unpin_session(session_id)
-            # Part keys depend only on the split geometry, so plan with a
-            # template worker order, then permute the references so cached
-            # parts land on the workers that hold them.
-            references = session["references"]
-            template = self.splitter.plan_parts(
-                location, [ref.worker for ref in references], strategy
-            )
-            keys = rm.part_keys(dataset_id, strategy, template)
-            aligned = rm.align_references(references, keys)
-            parts = self.splitter.plan_parts(
-                location, [ref.worker for ref in aligned], strategy
-            )
+            # Part keys depend only on the split geometry: permute the
+            # references so cached parts land on the workers holding them.
+            keys = rm.part_keys(dataset_id, strategy, parts)
+            references = rm.align_references(references, keys)
+            parts = [
+                replace(part, worker=ref.worker)
+                for part, ref in zip(parts, references)
+            ]
             plan = rm.plan_sources(location, strategy, parts, keys)
-            fetch_skippable = (
-                location.origin_host is not None and rm.has_whole(location)
-            )
-            if not plan.fully_cold or fetch_skippable:
-                staged = yield from self._stage_from_replicas(
-                    session, session_id, entry, location, strategy,
-                    streams, aligned, parts, keys, plan,
-                )
-                session["dataset"] = staged
-                self.resources.set_property(
-                    session["ref"], "dataset", dataset_id
-                )
-                self._log_stage(session_id, staged, keys)
-                return staged
-            # Fully cold and the fetch decision is unchanged: fall through
-            # to the original pipeline (identical timings), registering the
-            # produced copies below so the *next* stage is warm.
-
-        tracer = self.obs.tracer
-        fetch_seconds = 0.0
-        if location.origin_host is not None:
-            # "Locate and transfer large dataset file" (Fig. 1): move the
-            # whole file from its origin to the storage element.
-            started = self.env.now
-            fetch_span = tracer.child(
-                "stage.fetch",
-                phase="move_whole",
-                dataset=dataset_id,
-                mb=location.size_mb,
-            )
-            with tracer.activate(fetch_span):
-                fetch = self.ftp.transfer_file(
-                    _HostProxy(location.origin_host, self.env),
-                    self.storage,
-                    f"{dataset_id}.whole",
-                    location.size_mb,
-                    read_disk=False,
-                    write_disk=False,
-                )
-            yield fetch
-            fetch_span.finish()
-            fetch_seconds = self.env.now - started
-            if rm is not None:
-                # Record the SE copy so later sessions on this dataset do
-                # not re-download it across the WAN.
-                rm.record_whole(location)
-
-        references = session["references"]
-        workers = [
-            self.gram.scheduler.element.worker(ref.worker) for ref in references
-        ]
-        if location.kind == "database":
-            # Contiguous-record DB location (§3.4): server-side range
-            # queries replace the serial split pass entirely.
-            report: StageReport = yield self.splitter.query_and_scatter(
-                location, workers, strategy=strategy, streams=streams
-            )
-        else:
-            report = yield self.splitter.split_and_scatter(
-                location, workers, strategy=strategy, streams=streams
-            )
-        if rm is not None:
-            # Bookkeeping only (no simulated time): record every copy the
-            # cold pipeline just produced, pinned for this session.
-            for part, key in zip(report.parts, keys):
-                if location.kind != "database":
-                    rm.record_se_part(dataset_id, key, part.size_mb)
-                rm.record_worker_part(
-                    dataset_id, key, part.worker, part.size_mb, session_id
-                )
-            rm.note_stage(plan)
-        # Hand each engine its part descriptor + the content recipe, and
-        # record who owns what (the recovery monitor re-dispatches these
-        # assignments when an engine dies).
-        session["assignments"] = {}
-        session["orphaned"] = []
-        for ref, part in zip(references, report.parts):
-            session["assignments"][ref.engine_id] = [(part, entry.content)]
-            yield ref.mailbox.put(("load_data", part, entry.content))
-
-        staged = StagedDataset(
-            dataset_id=dataset_id,
-            size_mb=location.size_mb,
-            n_events=location.n_events,
-            content=entry.content,
-            parts=report.parts,
-            fetch_seconds=fetch_seconds,
-            split_seconds=report.split_seconds,
-            move_parts_seconds=report.move_parts_seconds,
-            strategy=strategy,
-            cold_parts=len(report.parts),
+        split_pass = bool(plan.missing) and location.kind != "database"
+        fetch = (
+            split_pass
+            and location.origin_host is not None
+            and (rm is None or not rm.has_whole(location))
         )
-        session["dataset"] = staged
-        self.resources.set_property(session["ref"], "dataset", dataset_id)
-        self._log_stage(session_id, staged, keys)
-        return staged
+        fetch_skipped = location.origin_host is not None and not fetch
+        consult = rm is not None and (not plan.fully_cold or fetch_skipped)
 
-    @staticmethod
-    def _part_file_name(location: DatasetLocation, part: PartDescriptor) -> str:
-        """The on-disk part name the splitter's pipelines use."""
-        stem = "range" if location.kind == "database" else "part"
-        return f"{location.dataset_id}.{stem}{part.part_index}"
-
-    def _stage_from_replicas(
-        self,
-        session: dict,
-        session_id: str,
-        entry,
-        location: DatasetLocation,
-        strategy: str,
-        streams: Optional[int],
-        references: List,
-        parts: List[PartDescriptor],
-        keys: List[str],
-        plan,
-    ):
-        """Warm/partial staging driven by the replica catalog (generator).
-
-        Movement policy per part: **local** parts move nothing (the
-        assigned worker already caches them); **se** parts (and parts
-        just produced by a split/range query) scatter through the
-        spindle-serialized GridFTP path; **peer** parts transfer
-        point-to-point between worker caches, falling back to the SE if
-        the peer fails mid-transfer.  The WAN fetch and serial split run
-        only when some part of this geometry must actually be produced.
-        """
-        rm = self.replicas
-        cal = self.calibration
-        dataset_id = location.dataset_id
         tracer = self.obs.tracer
         element = self.gram.scheduler.element
-        span = tracer.child(
-            "stage.replica",
-            dataset=dataset_id,
-            local=len(plan.local),
-            peer=len(plan.peer),
-            se=len(plan.se),
-            missing=len(plan.missing),
-        )
-        with tracer.activate(span):
+
+        def pipeline():
+            # The split clock covers the catalog consult but not the fetch.
             split_started = self.env.now
-            # One SOAP round-trip: the replica-catalog consult.
-            yield self.env.timeout(cal.soap_latency_s)
+            split_head = 0.0
+            if consult:
+                # One SOAP round-trip: the replica-catalog consult.
+                yield self.env.timeout(self.calibration.soap_latency_s)
 
             fetch_seconds = 0.0
-            need_split = bool(plan.missing) and location.kind != "database"
-            if need_split and not rm.has_whole(location):
-                started = self.env.now
+            if fetch:
+                # "Locate and transfer large dataset file" (Fig. 1): move
+                # the whole file from its origin to the storage element.
+                fetch_started = self.env.now
+                split_head = fetch_started - split_started
                 fetch_span = tracer.child(
                     "stage.fetch",
                     phase="move_whole",
@@ -1033,7 +920,7 @@ class SessionService:
                     mb=location.size_mb,
                 )
                 with tracer.activate(fetch_span):
-                    fetch = self.ftp.transfer_file(
+                    transfer = self.ftp.transfer_file(
                         _HostProxy(location.origin_host, self.env),
                         self.storage,
                         f"{dataset_id}.whole",
@@ -1041,18 +928,18 @@ class SessionService:
                         read_disk=False,
                         write_disk=False,
                     )
-                yield fetch
+                yield transfer
                 fetch_span.finish()
-                fetch_seconds = self.env.now - started
-                rm.record_whole(location)
-            fetch_skipped = (
-                location.origin_host is not None and fetch_seconds == 0.0
-            )
+                fetch_seconds = self.env.now - fetch_started
+                split_started = self.env.now
+                if rm is not None:
+                    # Later stages of this dataset skip the WAN fetch.
+                    rm.record_whole(location)
 
-            if need_split:
+            if split_pass:
                 # The split pass iterates the whole file regardless of how
-                # many parts are missing — same cost as a cold split — and
-                # leaves *every* part file on the SE.
+                # many parts are missing and leaves *every* part file on
+                # the SE.
                 split_span = tracer.child(
                     "stage.split",
                     phase="split",
@@ -1063,12 +950,13 @@ class SessionService:
                     self.splitter.split_seconds_for(location, len(parts))
                 )
                 split_span.finish()
-                for part, key in zip(parts, keys):
-                    if not rm.se_has_part(key):
-                        rm.record_se_part(dataset_id, key, part.size_mb)
+                if rm is not None:
+                    for part, key in zip(parts, keys):
+                        if not rm.se_has_part(key):
+                            rm.record_se_part(dataset_id, key, part.size_mb)
             elif plan.missing:
-                # Database location: missing parts are server-side range
-                # queries, no split pass.
+                # Database location (§3.4): missing parts are server-side
+                # range queries, no split pass.
                 plan_span = tracer.child(
                     "stage.query_plan", phase="split", parts=len(plan.missing)
                 )
@@ -1077,7 +965,7 @@ class SessionService:
                     * len(plan.missing)
                 )
                 plan_span.finish()
-            split_seconds = self.env.now - split_started
+            split_seconds = split_head + (self.env.now - split_started)
 
             move_started = self.env.now
             move_span = tracer.child("stage.move_parts", phase="move_parts")
@@ -1116,25 +1004,40 @@ class SessionService:
             move_span.finish()
             move_seconds = self.env.now - move_started
 
-            for s in plan.local:
-                rm.touch(s.worker, s.key, session_id)
-            for s in plan.peer + scatter_sources:
-                rm.record_worker_part(
-                    dataset_id, s.key, s.worker, s.size_mb, session_id
+            if rm is not None:
+                for s in plan.local:
+                    rm.touch(s.worker, s.key, session_id)
+                for s in plan.peer + scatter_sources:
+                    rm.record_worker_part(
+                        dataset_id, s.key, s.worker, s.size_mb, session_id
+                    )
+                rm.note_stage(
+                    plan,
+                    fetch_skipped_mb=location.size_mb if fetch_skipped else 0.0,
                 )
-            rm.note_stage(
-                plan,
-                fetch_skipped_mb=location.size_mb if fetch_skipped else 0.0,
-            )
-        span.finish(fetch_skipped=fetch_skipped)
+            return fetch_seconds, split_seconds, move_seconds
 
+        fetch_seconds, split_seconds, move_seconds = yield from tracer.trace_gen(
+            "stage",
+            pipeline(),
+            dataset=dataset_id,
+            local=len(plan.local),
+            peer=len(plan.peer),
+            se=len(plan.se),
+            missing=len(plan.missing),
+            fetch_skipped=fetch_skipped,
+        )
+
+        # Hand each engine its part descriptor + the content recipe, and
+        # record who owns what (the recovery monitor re-dispatches these
+        # assignments when an engine dies).
         session["assignments"] = {}
         session["orphaned"] = []
         for ref, part in zip(references, parts):
             session["assignments"][ref.engine_id] = [(part, entry.content)]
             yield ref.mailbox.put(("load_data", part, entry.content))
 
-        return StagedDataset(
+        staged = StagedDataset(
             dataset_id=dataset_id,
             size_mb=location.size_mb,
             n_events=location.n_events,
@@ -1152,6 +1055,16 @@ class SessionService:
             saved_mb=sum(s.size_mb for s in plan.local)
             + (location.size_mb if fetch_skipped else 0.0),
         )
+        session["dataset"] = staged
+        self.resources.set_property(session["ref"], "dataset", dataset_id)
+        self._log_stage(session_id, staged, keys)
+        return staged
+
+    @staticmethod
+    def _part_file_name(location: DatasetLocation, part: PartDescriptor) -> str:
+        """The on-disk part name the staging pipeline uses."""
+        stem = "range" if location.kind == "database" else "part"
+        return f"{location.dataset_id}.{stem}{part.part_index}"
 
     def _peer_fetch(self, location: DatasetLocation, source, streams):
         """Pull one part from another worker's cache (generator).

@@ -1,4 +1,4 @@
-"""Splitter Service: split the dataset and disperse parts to the workers.
+"""Splitter Service: split the dataset into parts for the workers.
 
 "The splitter service will import the dataset from the actual location and
 split it into a pre-configured number of approximately equal parts ...
@@ -6,25 +6,23 @@ Once the dataset is split through the splitter service, the individual
 parts of dataset will be transferred using Grid FTP protocol to the
 analysis worker nodes" (§3.4).
 
-The split itself "must iterate through the entire dataset in all cases and
-only has a very small input/output overhead for the number of split files"
-(§4) — modelled as a serial pass at ``split_rate`` seconds per MB on the
-storage element, plus a small per-file overhead, reproducing Table 2's
-nearly-flat split column.
+This service holds the split geometry (:meth:`SplitterService.plan_parts`)
+and the split cost model; the session service runs the staging pipeline
+(fetch, split pass, scatter) in simulated time.  The split itself "must
+iterate through the entire dataset in all cases and only has a very small
+input/output overhead for the number of split files" (§4) — modelled as a
+serial pass at ``split_rate`` seconds per MB on the storage element, plus
+a small per-file overhead, reproducing Table 2's nearly-flat split column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.grid.nodes import Node, StorageElement
-from repro.grid.transfer import GridFTPService, ScatterReport
-from repro.obs import NULL_OBS, Observability
 from repro.services.locator import DatasetLocation
-from repro.sim import Environment, Process
 
 
 class SplitterError(Exception):
@@ -47,31 +45,11 @@ class PartDescriptor:
         return self.stop_event - self.start_event
 
 
-@dataclass
-class StageReport:
-    """Timing breakdown of one staging operation (feeds Tables 1 and 2)."""
-
-    split_seconds: float
-    move_parts_seconds: float
-    parts: List[PartDescriptor]
-
-    @property
-    def total_seconds(self) -> float:
-        """Split + move-parts wall clock."""
-        return self.split_seconds + self.move_parts_seconds
-
-
 class SplitterService:
-    """Splits a dataset on its storage element and scatters the parts.
+    """Plans split geometries and prices the serial split pass.
 
     Parameters
     ----------
-    env:
-        Simulation environment.
-    storage:
-        The storage element holding (or receiving) the dataset.
-    ftp:
-        Transfer service used for the scatter.
     split_rate:
         Seconds per MB for the serial split pass (paper fit: 0.25 s/MB).
     per_file_overhead:
@@ -79,24 +57,14 @@ class SplitterService:
         overhead for the number of split files", §4).
     """
 
-    #: Per-part range-query planning cost (seconds) when none is given.
+    #: Per-part range-query planning cost (seconds) of a database location.
     DEFAULT_PER_QUERY_OVERHEAD = 0.5
 
     def __init__(
-        self,
-        env: Environment,
-        storage: StorageElement,
-        ftp: GridFTPService,
-        split_rate: float = 0.25,
-        per_file_overhead: float = 0.2,
-        obs: Optional[Observability] = None,
+        self, split_rate: float = 0.25, per_file_overhead: float = 0.2
     ) -> None:
         if split_rate < 0 or per_file_overhead < 0:
             raise ValueError("rates/overheads must be >= 0")
-        self.env = env
-        self.obs = obs or NULL_OBS
-        self.storage = storage
-        self.ftp = ftp
         self.split_rate = split_rate
         self.per_file_overhead = per_file_overhead
 
@@ -105,8 +73,8 @@ class SplitterService:
 
         The pass "must iterate through the entire dataset in all cases",
         so the cost is the same whether every part is needed or only a
-        few are missing — the replica-aware staging path charges exactly
-        this when any part of a geometry has to be (re)produced.
+        few are missing — staging charges exactly this whenever any part
+        of a geometry has to be (re)produced.
         """
         return location.size_mb * self.split_rate + n_parts * self.per_file_overhead
 
@@ -190,120 +158,3 @@ class SplitterService:
             )
             for index in range(n_parts)
         ]
-
-    def query_and_scatter(
-        self,
-        location: DatasetLocation,
-        worker_nodes: Sequence[Node],
-        strategy: str = "by-events",
-        event_weights: Optional[np.ndarray] = None,
-        streams: Optional[int] = None,
-        per_query_overhead: float = DEFAULT_PER_QUERY_OVERHEAD,
-    ) -> Process:
-        """Stage a *database*-located dataset: range queries, no split pass.
-
-        §3.4 allows the location to be "a set of contiguous records in a
-        database server"; each part is then a server-side range query, so
-        the serial whole-dataset split pass disappears — only a small
-        per-query planning overhead plus the scatter remain.
-        """
-        parts = self.plan_parts(
-            location,
-            [node.name for node in worker_nodes],
-            strategy,
-            event_weights,
-        )
-
-        tracer = self.obs.tracer
-
-        def run():
-            planning_started = self.env.now
-            plan_span = tracer.child(
-                "stage.query_plan", phase="split", parts=len(parts)
-            )
-            yield self.env.timeout(per_query_overhead * len(parts))
-            plan_span.finish()
-            planning_seconds = self.env.now - planning_started
-            move_started = self.env.now
-            move_span = tracer.child("stage.move_parts", phase="move_parts")
-            with tracer.activate(move_span):
-                scatter = self.ftp.scatter(
-                    self.storage,
-                    list(worker_nodes),
-                    [
-                        (f"{location.dataset_id}.range{p.part_index}", p.size_mb)
-                        for p in parts
-                    ],
-                    streams=streams,
-                )
-            yield scatter
-            move_span.finish()
-            return StageReport(
-                split_seconds=planning_seconds,
-                move_parts_seconds=self.env.now - move_started,
-                parts=parts,
-            )
-
-        return self.env.process(
-            tracer.trace_gen("stage.query_and_scatter", run())
-        )
-
-    def split_and_scatter(
-        self,
-        location: DatasetLocation,
-        worker_nodes: Sequence[Node],
-        strategy: str = "by-events",
-        event_weights: Optional[np.ndarray] = None,
-        streams: Optional[int] = None,
-    ) -> Process:
-        """Run the full §3.4 staging pipeline; value is a :class:`StageReport`.
-
-        The split pass (serial, whole dataset) runs first; the scatter then
-        pipelines SE disk reads with parallel per-worker transfers.
-        """
-        parts = self.plan_parts(
-            location,
-            [node.name for node in worker_nodes],
-            strategy,
-            event_weights,
-        )
-
-        tracer = self.obs.tracer
-
-        def run():
-            split_started = self.env.now
-            split_span = tracer.child(
-                "stage.split",
-                phase="split",
-                mb=location.size_mb,
-                parts=len(parts),
-            )
-            yield self.env.timeout(
-                self.split_seconds_for(location, len(parts))
-            )
-            split_span.finish()
-            split_seconds = self.env.now - split_started
-
-            move_started = self.env.now
-            move_span = tracer.child("stage.move_parts", phase="move_parts")
-            with tracer.activate(move_span):
-                scatter = self.ftp.scatter(
-                    self.storage,
-                    list(worker_nodes),
-                    [
-                        (f"{location.dataset_id}.part{p.part_index}", p.size_mb)
-                        for p in parts
-                    ],
-                    streams=streams,
-                )
-            report: ScatterReport = yield scatter
-            move_span.finish()
-            return StageReport(
-                split_seconds=split_seconds,
-                move_parts_seconds=self.env.now - move_started,
-                parts=parts,
-            )
-
-        return self.env.process(
-            tracer.trace_gen("stage.split_and_scatter", run())
-        )

@@ -98,7 +98,8 @@ def test_full_flag_forces_keyframe():
 
 
 def test_delta_snapshots_disabled_always_full():
-    engine = make_engine(delta_snapshots=False)
+    # keyframe_every=1 is the off switch for deltas: every snapshot is full.
+    engine = make_engine(keyframe_every=1)
     for _ in range(3):
         snap = engine.take_snapshot()
         assert snap.base_sequence == 0

@@ -148,6 +148,31 @@ def test_partial_hit_moves_only_missing_parts():
     assert second.move_parts_seconds < first["staged"].move_parts_seconds
 
 
+def test_partial_hit_with_fetch_counts_fetch_once():
+    site = build_site()
+    cred = site.enroll_user("/CN=alice")
+    first = run_session(site, cred)["staged"]
+    rm = site.replicas
+    # The SE whole file and every copy of part 0 are gone: part 0 must be
+    # re-split, which needs the whole file fetched again.
+    rm.forget_whole("ds")
+    key = rm.part_keys("ds", "by-events", first.parts)[0]
+    for replica in rm.catalog.holders(key):
+        rm.catalog.unregister(key, replica.host, reason="scratch-purge")
+    second = run_session(site, cred, dataset_hint="ds")["staged"]
+    assert (second.local_hits, second.cold_parts) == (3, 1)
+    assert not second.fetch_skipped
+    assert second.fetch_seconds == pytest.approx(first.fetch_seconds)
+    # The split clock runs from the catalog consult and leaves the fetch
+    # out: consult + the full split pass, so the fetch counts only once.
+    consult = site.calibration.soap_latency_s
+    assert second.split_seconds == pytest.approx(consult + first.split_seconds)
+    assert second.stage_seconds == pytest.approx(
+        second.fetch_seconds + second.split_seconds
+        + second.move_parts_seconds
+    )
+
+
 def test_peer_fetch_serves_part_from_other_worker_cache():
     site = build_site(n_workers=6)
     cred = site.enroll_user("/CN=alice")

@@ -93,7 +93,7 @@ def test_locator_duplicate_and_bad_kind():
 
 def test_splitter_plan_by_events():
     env, net, se, mgr, workers, ftp = build_site(4)
-    splitter = SplitterService(env, se, ftp)
+    splitter = SplitterService()
     parts = splitter.plan_parts(location(), [w.name for w in workers])
     assert [p.n_events for p in parts] == [2500] * 4
     assert sum(p.size_mb for p in parts) == pytest.approx(471.0)
@@ -103,7 +103,7 @@ def test_splitter_plan_by_events():
 def test_splitter_plan_by_bytes_with_weights():
     env, net, se, mgr, workers, ftp = build_site(2)
     weights = np.concatenate([np.ones(5000), 3 * np.ones(5000)])
-    splitter = SplitterService(env, se, ftp)
+    splitter = SplitterService()
     parts = splitter.plan_parts(
         location(), ["w0", "w1"], strategy="by-bytes", event_weights=weights
     )
@@ -114,7 +114,7 @@ def test_splitter_plan_by_bytes_with_weights():
 
 def test_splitter_plan_validation():
     env, net, se, mgr, workers, ftp = build_site(1)
-    splitter = SplitterService(env, se, ftp)
+    splitter = SplitterService()
     with pytest.raises(SplitterError):
         splitter.plan_parts(location(), [])
     with pytest.raises(SplitterError):
@@ -125,12 +125,26 @@ def test_splitter_plan_validation():
         )
 
 
+def scatter_parts(env, se, ftp, workers, splitter):
+    """Scatter the planned parts of ``location()`` to *workers*."""
+    parts = splitter.plan_parts(location(), [w.name for w in workers])
+    return env.run(
+        until=ftp.scatter(
+            se,
+            workers,
+            [(f"zh500.part{p.part_index}", p.size_mb) for p in parts],
+        )
+    )
+
+
 def test_splitter_split_time_matches_model():
     env, net, se, mgr, workers, ftp = build_site(4)
-    splitter = SplitterService(env, se, ftp, split_rate=0.25, per_file_overhead=0.2)
-    report = env.run(until=splitter.split_and_scatter(location(), workers))
-    assert report.split_seconds == pytest.approx(471 * 0.25 + 4 * 0.2)
-    assert len(report.parts) == 4
+    splitter = SplitterService(split_rate=0.25, per_file_overhead=0.2)
+    assert splitter.split_seconds_for(location(), 4) == pytest.approx(
+        471 * 0.25 + 4 * 0.2
+    )
+    report = scatter_parts(env, se, ftp, workers, splitter)
+    assert len(report.per_part) == 4
     # Workers received their part files.
     for index, worker in enumerate(workers):
         assert worker.has_file(f"zh500.part{index}")
@@ -140,9 +154,9 @@ def test_splitter_move_parts_shape():
     durations = {}
     for n in (1, 16):
         env, net, se, mgr, workers, ftp = build_site(n)
-        splitter = SplitterService(env, se, ftp, split_rate=0.25, per_file_overhead=0.0)
-        report = env.run(until=splitter.split_and_scatter(location(), workers))
-        durations[n] = report.move_parts_seconds
+        durations[n] = scatter_parts(
+            env, se, ftp, workers, SplitterService()
+        ).duration
     # Table 2 shape: ~46 + 62/N.
     assert durations[1] == pytest.approx(46 + 62, rel=0.05)
     assert durations[16] == pytest.approx(46 + 62 / 16, rel=0.08)
