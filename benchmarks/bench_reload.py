@@ -23,7 +23,11 @@ NODES = 16
 
 
 def grid_iteration_times():
-    site = GridSite(SiteConfig(n_workers=NODES))
+    # Without node replica caches the second select_dataset really moves,
+    # splits and scatters the dataset again; with them it would re-use
+    # the parts the first staging left on the workers.  The reload arm
+    # never re-stages, so it is unaffected.
+    site = GridSite(SiteConfig(n_workers=NODES, enable_replica_cache=False))
     site.register_dataset(
         "ds", "/x/ds", size_mb=SIZE_MB, n_events=4000,
         content={"kind": "ilc", "seed": 6},

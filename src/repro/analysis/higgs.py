@@ -118,18 +118,13 @@ class HiggsSearchAnalysis(Analysis):
         counts = np.diff(batch.offsets)
         tree.get("/higgs/n_jets").fill_array(counts.astype(float))
 
-        # Visible energy per event: sum particle energies within offsets.
-        visible = np.add.reduceat(
-            batch.e, batch.offsets[:-1].astype(int)
-        ) if batch.n_particles else np.zeros(len(batch))
-        # reduceat misbehaves for zero-particle events; recompute safely.
-        if np.any(counts == 0):
-            visible = np.array(
-                [
-                    batch.e[batch.offsets[i]:batch.offsets[i + 1]].sum()
-                    for i in range(len(batch))
-                ]
-            )
+        # Visible energy per event: each event's particle energies summed
+        # in order from 0.0 (an event without particles sums to 0.0).
+        visible = np.bincount(
+            np.repeat(np.arange(len(batch)), counts),
+            weights=batch.e,
+            minlength=len(batch),
+        )
         tree.get("/higgs/visible_energy").fill_array(visible)
 
         selected = (counts == 4) & (visible >= self.min_visible_energy)
@@ -203,10 +198,8 @@ class StagedHiggsSearch(Analysis):
         if len(batch) == 0:
             return
         counts = np.diff(batch.offsets)
-        visible = np.array([
-            batch.e[batch.offsets[i]:batch.offsets[i + 1]].sum()
-            for i in range(len(batch))
-        ])
+        visible = np.bincount(np.repeat(np.arange(len(batch)), counts),
+                              weights=batch.e, minlength=len(batch))
         tree.get("/higgs/visible_energy").fill_array(visible)
         selected = (counts == 4) & (visible >= self.min_visible_energy)
         if not np.any(selected):

@@ -232,13 +232,11 @@ def _permute_batch(batch: EventBatch, perm: np.ndarray) -> EventBatch:
     new_counts = counts[perm]
     new_offsets = np.concatenate([[0], np.cumsum(new_counts)])
     n_particles = int(batch.offsets[-1])
-    # Build the particle gather index.
-    gather = np.empty(n_particles, dtype=np.int64)
-    position = 0
-    for src in perm:
-        lo, hi = int(batch.offsets[src]), int(batch.offsets[src + 1])
-        gather[position:position + (hi - lo)] = np.arange(lo, hi)
-        position += hi - lo
+    # Particle gather index: slot j of destination event i reads source
+    # slot offsets[perm[i]] + (j - new_offsets[i]).
+    gather = np.repeat(
+        batch.offsets[perm] - new_offsets[:-1], new_counts
+    ) + np.arange(n_particles)
     return EventBatch(
         batch.event_ids[perm],
         batch.process[perm],

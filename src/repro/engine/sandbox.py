@@ -16,6 +16,7 @@ simulation substrate, not a security boundary.
 from __future__ import annotations
 
 import builtins
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Type
 
@@ -67,6 +68,18 @@ def _build_namespace() -> Dict[str, Any]:
     }
 
 
+@functools.lru_cache(maxsize=64)
+def _compiled(source: str):
+    """Code object of *source*, compiled once per distinct source text.
+
+    Only the compile step is shared: each load still executes the code in
+    a fresh namespace, so every engine gets its own class object.  A
+    source that fails to compile raises on every call (errors are not
+    cached).
+    """
+    return compile(source, "<analysis>", "exec")
+
+
 def load_analysis(
     source: str,
     class_name: Optional[str] = None,
@@ -93,7 +106,7 @@ def load_analysis(
     """
     namespace = _build_namespace()
     try:
-        exec(compile(source, "<analysis>", "exec"), namespace)
+        exec(_compiled(source), namespace)
     except SandboxError:
         raise
     except SyntaxError as exc:

@@ -11,7 +11,8 @@ from repro.engine.base import AnalysisError
 from repro.engine.controls import ControlState
 from repro.engine.engine import AnalysisEngine
 from repro.engine.runner import run_local, run_parallel
-from repro.engine.sandbox import CodeBundle
+from repro.engine import sandbox
+from repro.engine.sandbox import CodeBundle, SandboxError, load_analysis
 from repro.analysis import higgs as higgs_module
 
 
@@ -215,3 +216,53 @@ def test_run_parallel_validation(tmp_path, batch):
     path = write_dataset(tmp_path / "d.ipad", [batch])
     with pytest.raises(ValueError):
         run_parallel(CodeBundle(higgs_module.SOURCE), str(path), n_workers=0)
+
+
+# ---------------------------------------------------------------------------
+# Compiled-code cache
+# ---------------------------------------------------------------------------
+
+CACHED_SOURCE = '''
+class CacheProbe(Analysis):
+    name = "cache-probe"
+    hits = 0
+'''
+
+
+def test_load_analysis_compiles_each_source_once(monkeypatch):
+    calls = []
+
+    def counting_compile(*args):
+        calls.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(sandbox, "compile", counting_compile, raising=False)
+    sandbox._compiled.cache_clear()
+    source = CACHED_SOURCE + "\n# compiled once\n"
+    load_analysis(source)
+    load_analysis(source)
+    CodeBundle(source).instantiate()
+    assert calls == [source]
+
+
+def test_load_analysis_same_source_gives_distinct_classes():
+    first = load_analysis(CACHED_SOURCE)
+    second = load_analysis(CACHED_SOURCE)
+    assert type(first) is not type(second)
+    type(first).hits += 1
+    assert first.hits == 1
+    assert second.hits == 0
+
+
+def test_load_analysis_different_sources_do_not_collide():
+    other = CACHED_SOURCE.replace('"cache-probe"', '"other-probe"')
+    assert load_analysis(CACHED_SOURCE).name == "cache-probe"
+    assert load_analysis(other).name == "other-probe"
+    assert load_analysis(CACHED_SOURCE).name == "cache-probe"
+
+
+def test_load_analysis_syntax_error_raises_on_every_call():
+    broken = "class Broken(Analysis):\n    def (:\n"
+    for _ in range(2):
+        with pytest.raises(SandboxError, match="syntax"):
+            load_analysis(broken)
