@@ -1,5 +1,8 @@
 """Unit tests for the sample analyses (Higgs, counter, cuts, trading)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,47 @@ def batch_with_empty_event(mixed_batch):
     return EventBatch.concatenate(
         [mixed_batch.slice(0, 3000), hand_built, mixed_batch.slice(3000, 6000)]
     )
+
+
+#: SHA-256 of each module's ``SOURCE`` text: what a client uploads.
+SOURCE_DIGESTS = {
+    "higgs": "ad9bb5d9b038833ea80daec45a109bc2cdf974a6deeae121528262ab73aa1828",
+    "cuts": "a4e194fdd1c43a26d33583c1156e68acdf4d95a0690d902634c9dcc07ca0d662",
+    "counting": "59365988a71cc0c60412386e76e9af9ecb397a2d0e15713cd5ac7a789df0b692",
+    "trading": "6312314c5454327de7080b9ead9dd5e3b403386b9f055e4aa0b893504f8df684",
+}
+
+#: SHA-256 of the canonical JSON of each staged analysis's output tree.
+TREE_DIGESTS = {
+    "higgs": "71731c5f4d0b2ca2bb5aa84a52603c317c9f052f5564df9559d9e67c6255560e",
+    "cuts@0": "1f30c057eb24196b53caa88bb24c446c20ad17e0d785443056dadf8d355fbd96",
+    "cuts@400": "db55cb296f2e3e243f579556dfde4416c4c014584a1b28003d71c29aa75a5c27",
+    "counting": "de11688c70330b6081ff08d7fda4366bbe1959d17b3719f5a1b9a921844a7b63",
+    "trading": "8822c16d646e7939abf8b27551a1064d0cf8ec782b7fcd0067badd8cdf940e94",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_source_golden_digests(batch_with_empty_event):
+    modules = {"higgs": higgs, "cuts": cuts, "counting": counting, "trading": trading}
+    assert {
+        name: _sha256(module.SOURCE) for name, module in modules.items()
+    } == SOURCE_DIGESTS
+    runs = {
+        "higgs": (higgs.SOURCE, None, batch_with_empty_event),
+        "cuts@0": (cuts.SOURCE, {"min_energy": 0.0}, batch_with_empty_event),
+        "cuts@400": (cuts.SOURCE, {"min_energy": 400.0}, batch_with_empty_event),
+        "counting": (counting.SOURCE, None, batch_with_empty_event),
+        "trading": (trading.SOURCE, None, generate_trading_days(200, seed=5)),
+    }
+    digests = {}
+    for name, (source, parameters, batch) in runs.items():
+        tree = run_analysis(load_analysis(source, parameters=parameters), batch)
+        digests[name] = _sha256(json.dumps(tree.to_dict(), sort_keys=True))
+    assert digests == TREE_DIGESTS
 
 
 def test_higgs_visible_energy_matches_per_event_sum(batch_with_empty_event):
