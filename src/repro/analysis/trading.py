@@ -6,8 +6,9 @@ trading records in business" as an example domain (§1, §6).  This module
 backs that claim end to end: a generator that encodes trading days as
 records in the *same* event container (one record per day; one "particle"
 per trade with price and volume in the kinematic slots), and an analysis
-producing VWAP and return histograms through the identical engine/merge
-pipeline.
+producing per-day VWAP and volume through the identical engine/merge
+pipeline.  The analysis is the ``SOURCE`` text below, user code that
+engines load with :func:`repro.engine.sandbox.load_analysis`.
 
 Field mapping (documented, deliberate):
 
@@ -26,31 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aida.hist1d import Histogram1D
-from repro.aida.profile import Profile1D
-from repro.aida.tree import ObjectTree
 from repro.dataset.events import EventBatch
-from repro.engine.base import Analysis
-
-
-def _segment_sums(
-    values: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Per-day sums of *values* over ``offsets`` segments, vectorized.
-
-    ``np.add.reduceat`` quirks handled here: an empty segment returns
-    ``values[start]`` instead of 0 (masked out via *counts*), and a
-    trailing empty segment's start may equal ``len(values)`` — padding
-    one zero keeps every index valid without disturbing the neighbouring
-    segment boundaries (clamping would).
-    """
-    values = values.astype(float, copy=False)
-    if values.size == 0 or counts.size == 0:
-        return np.zeros(counts.shape, dtype=float)
-    if starts[-1] >= values.size:
-        values = np.concatenate([values, np.zeros(1)])
-    sums = np.add.reduceat(values, starts)
-    return np.where(counts > 0, sums, 0.0)
 
 
 def generate_trading_days(
@@ -93,90 +70,7 @@ def generate_trading_days(
     )
 
 
-class TradingRecordsAnalysis(Analysis):
-    """Per-day VWAP, volume and daily-return spectra.
-
-    Outputs under ``/trading``: the VWAP-by-day profile, daily traded
-    volume, daily return distribution (close-to-close on VWAP), and the
-    buy/sell imbalance.
-    """
-
-    name = "trading-records"
-
-    def __init__(self, return_bins: int = 50, return_range: float = 0.1) -> None:
-        self.return_bins = int(return_bins)
-        self.return_range = float(return_range)
-        self._last_vwap: float | None = None
-
-    def start(self, tree: ObjectTree) -> None:
-        """Create the trading histograms."""
-        tree.put(
-            "/trading/vwap_by_day",
-            Profile1D("vwap_by_day", "VWAP by day", bins=100, lower=0, upper=5000),
-        )
-        tree.put(
-            "/trading/daily_volume",
-            Histogram1D(
-                "daily_volume", "Daily traded volume", bins=50, lower=0, upper=20000
-            ),
-        )
-        tree.put(
-            "/trading/daily_return",
-            Histogram1D(
-                "daily_return",
-                "Daily VWAP return",
-                bins=self.return_bins,
-                lower=-self.return_range,
-                upper=self.return_range,
-            ),
-        )
-        tree.put(
-            "/trading/imbalance",
-            Histogram1D(
-                "imbalance", "Buy-sell volume imbalance", bins=40, lower=-1, upper=1
-            ),
-        )
-        self._last_vwap = None
-
-    def process_batch(self, batch: EventBatch, tree: ObjectTree) -> None:
-        """Vectorized per-day aggregation of one chunk of days.
-
-        All per-day reductions run as ``np.add.reduceat`` segment sums
-        over ``offsets`` — no Python loop over days.
-        """
-        if len(batch) == 0:
-            return
-        starts = batch.offsets[:-1].astype(np.int64)
-        counts = batch.offsets[1:].astype(np.int64) - starts
-        n_days = len(batch)
-        volumes = _segment_sums(batch.px, starts, counts)
-        notionals = _segment_sums(batch.e * batch.px, starts, counts)
-        signed = _segment_sums(batch.pdg * batch.px, starts, counts)
-        traded = volumes > 0
-        vwaps = np.full(n_days, np.nan)
-        np.divide(notionals, volumes, out=vwaps, where=traded)
-        imbalance = np.zeros(n_days)
-        np.divide(signed, volumes, out=imbalance, where=traded)
-        tree.get("/trading/vwap_by_day").fill_array(
-            batch.event_ids.astype(float), vwaps
-        )
-        tree.get("/trading/daily_volume").fill_array(volumes)
-        tree.get("/trading/imbalance").fill_array(imbalance)
-
-        # Close-to-close returns: each day's VWAP against the previous
-        # day's, carrying the last VWAP across batch boundaries.  A
-        # no-trade (NaN) day yields no return and breaks the chain for
-        # the following day, exactly as the sequential fold did.
-        last = np.nan if self._last_vwap is None else self._last_vwap
-        previous = np.concatenate(([last], vwaps[:-1]))
-        valid = np.isfinite(vwaps) & (previous > 0)
-        tree.get("/trading/daily_return").fill_array(
-            vwaps[valid] / previous[valid] - 1.0
-        )
-        self._last_vwap = float(vwaps[-1])
-
-
-#: Stageable source form (sandbox-compatible).
+#: The trading analysis (uses only the sandbox-provided names).
 SOURCE = '''
 class StagedTradingAnalysis(Analysis):
     """Per-day VWAP and volume from trading records."""

@@ -360,9 +360,8 @@ class EngineHost:
         combiner = self.aida.combiner_of(self.session_id, self.engine_id)
         if combiner is not None:
             snapshot = replace(snapshot, combiner=combiner)
-        self._payload_metric.inc(
-            payload_nbytes(snapshot.tree),
-            kind="full" if snapshot.base_sequence == 0 else "delta",
+        self._count_payload(
+            snapshot.tree, "full" if snapshot.base_sequence == 0 else "delta"
         )
         status = self.aida.submit_snapshot(self.session_id, snapshot)
         if status == "resync":
@@ -370,8 +369,13 @@ class EngineHost:
             full = self.engine.take_snapshot(final=snapshot.final, full=True)
             if combiner is not None:
                 full = replace(full, combiner=combiner)
-            self._payload_metric.inc(payload_nbytes(full.tree), kind="full")
+            self._count_payload(full.tree, "full")
             self.aida.submit_snapshot(self.session_id, full)
+
+    def _count_payload(self, tree, kind: str) -> None:
+        # Sizing a tree walks every array; skip it when nobody records it.
+        if self.obs.metrics.enabled:
+            self._payload_metric.inc(payload_nbytes(tree), kind=kind)
 
     def _apply_control(self, verb: str, arg) -> None:
         controller = self.engine.controller

@@ -1,7 +1,10 @@
 """Unit tests for the sample analyses (Higgs, counter, cuts, trading)."""
 
+import ast
+import builtins
 import hashlib
 import json
+import symtable
 
 import numpy as np
 import pytest
@@ -10,13 +13,10 @@ from repro.aida.fit import fit_histogram
 from repro.aida.hist1d import Histogram1D
 from repro.aida.tree import ObjectTree
 from repro.analysis import counting, cuts, higgs, trading
-from repro.analysis.counting import EventCounterAnalysis
-from repro.analysis.cuts import SelectionCutAnalysis
-from repro.analysis.higgs import HiggsSearchAnalysis
-from repro.analysis.trading import TradingRecordsAnalysis, generate_trading_days
+from repro.analysis.trading import generate_trading_days
 from repro.dataset.events import PROCESS_CODES, EventBatch
 from repro.dataset.generator import GeneratorConfig, ILCEventGenerator
-from repro.engine.sandbox import load_analysis
+from repro.engine.sandbox import _build_namespace, load_analysis
 
 
 def run_analysis(analysis, batch):
@@ -28,7 +28,7 @@ def run_analysis(analysis, batch):
 
 
 # ---------------------------------------------------------------------------
-# HiggsSearchAnalysis
+# Higgs search
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -37,21 +37,16 @@ def mixed_batch():
 
 
 def test_higgs_creates_outputs(mixed_batch):
-    tree = run_analysis(HiggsSearchAnalysis(), mixed_batch)
-    for path in (
-        "/higgs/dijet_mass",
-        "/higgs/z_mass",
-        "/higgs/n_jets",
-        "/higgs/visible_energy",
-        "/higgs/mass_correlation",
-    ):
-        assert tree.exists(path)
+    tree = run_analysis(load_analysis(higgs.SOURCE), mixed_batch)
+    assert sorted(tree.paths()) == [
+        "/higgs/dijet_mass", "/higgs/visible_energy", "/higgs/z_mass",
+    ]
 
 
 def test_higgs_finds_peak_in_pure_signal():
     config = GeneratorConfig(fractions=(("zh", 1.0),))
     batch = ILCEventGenerator(config, seed=7).generate(4000)
-    tree = run_analysis(HiggsSearchAnalysis(), batch)
+    tree = run_analysis(load_analysis(higgs.SOURCE), batch)
     mass = tree.get("/higgs/dijet_mass")
     fit = fit_histogram(mass, "gaussian", fit_range=(95, 145))
     assert fit.parameters["mean"] == pytest.approx(120.0, abs=3.0)
@@ -61,7 +56,7 @@ def test_higgs_finds_peak_in_pure_signal():
 
 
 def test_higgs_peak_visible_over_background(mixed_batch):
-    tree = run_analysis(HiggsSearchAnalysis(), mixed_batch)
+    tree = run_analysis(load_analysis(higgs.SOURCE), mixed_batch)
     mass = tree.get("/higgs/dijet_mass")
     axis = mass.axis
     peak_bin = axis.coord_to_index(120.0)
@@ -70,15 +65,21 @@ def test_higgs_peak_visible_over_background(mixed_batch):
 
 
 def test_higgs_only_processes_four_jet_events(mixed_batch):
-    tree = run_analysis(HiggsSearchAnalysis(), mixed_batch)
+    tree = run_analysis(load_analysis(higgs.SOURCE), mixed_batch)
     counts = np.diff(mixed_batch.offsets)
     four_jet = int(np.sum(counts == 4))
     assert tree.get("/higgs/dijet_mass").all_entries == four_jet
 
 
 def test_higgs_energy_cut_reduces_candidates(mixed_batch):
-    loose = run_analysis(HiggsSearchAnalysis(min_visible_energy=0.0), mixed_batch)
-    tight = run_analysis(HiggsSearchAnalysis(min_visible_energy=500.0), mixed_batch)
+    loose = run_analysis(
+        load_analysis(higgs.SOURCE, parameters={"min_visible_energy": 0.0}),
+        mixed_batch,
+    )
+    tight = run_analysis(
+        load_analysis(higgs.SOURCE, parameters={"min_visible_energy": 500.0}),
+        mixed_batch,
+    )
     assert (
         tight.get("/higgs/dijet_mass").all_entries
         < loose.get("/higgs/dijet_mass").all_entries
@@ -86,7 +87,7 @@ def test_higgs_energy_cut_reduces_candidates(mixed_batch):
 
 
 def test_higgs_empty_batch():
-    tree = run_analysis(HiggsSearchAnalysis(), EventBatch.empty())
+    tree = run_analysis(load_analysis(higgs.SOURCE), EventBatch.empty())
     assert tree.get("/higgs/dijet_mass").all_entries == 0
 
 
@@ -144,6 +145,42 @@ def test_source_golden_digests(batch_with_empty_event):
     assert digests == TREE_DIGESTS
 
 
+def _unresolved_names(source):
+    """Global names *source* reads that neither it nor the sandbox defines.
+
+    Staged code lives in strings, where the linter's undefined-name rule
+    cannot see it; this is that check for the sandbox namespace.
+    """
+    module = symtable.symtable(source, "<analysis>", "exec")
+    known = set(_build_namespace()) | set(vars(builtins))
+    known |= {sym.get_name() for sym in module.get_symbols() if sym.is_assigned()}
+    unresolved = set()
+    pending = [module]
+    while pending:
+        table = pending.pop()
+        pending.extend(table.get_children())
+        for sym in table.get_symbols():
+            if sym.is_referenced() and sym.is_global() and sym.get_name() not in known:
+                unresolved.add(sym.get_name())
+    return unresolved
+
+
+@pytest.mark.parametrize("module", [higgs, cuts, counting, trading],
+                         ids=lambda module: module.__name__.rsplit(".", 1)[-1])
+def test_source_names_resolve_in_sandbox(module):
+    assert _unresolved_names(module.SOURCE) == set()
+    subclasses = [
+        node.name for node in ast.parse(module.SOURCE).body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "Analysis" for base in node.bases)
+    ]
+    assert len(subclasses) == 1
+    # The check binds: a misspelt global in a method is reported.
+    broken = module.SOURCE.replace("def start(self, tree):",
+                                   "def start(self, tree):\n        Histogram1d")
+    assert _unresolved_names(broken) == {"Histogram1d"}
+
+
 def test_higgs_visible_energy_matches_per_event_sum(batch_with_empty_event):
     batch = batch_with_empty_event
     # Reference: each event's energies added in order, starting from 0.0.
@@ -155,33 +192,25 @@ def test_higgs_visible_energy_matches_per_event_sum(batch_with_empty_event):
         sum(batch.e[batch.offsets[i]:batch.offsets[i + 1]].tolist(), 0.0)
         for i in range(len(batch))
     ]))
-    native = run_analysis(HiggsSearchAnalysis(), batch)
-    assert native.get("/higgs/visible_energy").to_dict() == reference.to_dict()
-
-
-def test_higgs_staged_source_matches_native(batch_with_empty_event):
-    batch = batch_with_empty_event
-    native = run_analysis(HiggsSearchAnalysis(), batch)
     staged = run_analysis(load_analysis(higgs.SOURCE), batch)
-    # The staged edition books a subset of the native outputs; every one
-    # of them must match the native tree bit for bit.
-    assert staged.to_dict() == native.to_dict(only=set(staged.paths()))
-    assert native.get("/higgs/visible_energy").entries == len(batch)
-    assert native.get("/higgs/visible_energy").bin_height(0) >= 1
+    visible = staged.get("/higgs/visible_energy")
+    assert visible.to_dict() == reference.to_dict()
+    assert visible.entries == len(batch)
+    assert visible.bin_height(0) >= 1
 
 
 # ---------------------------------------------------------------------------
-# EventCounterAnalysis
+# Counter
 # ---------------------------------------------------------------------------
 
 def test_counter_totals(mixed_batch):
-    tree = run_analysis(EventCounterAnalysis(), mixed_batch)
+    tree = run_analysis(load_analysis(counting.SOURCE), mixed_batch)
     assert tree.get("/counts/process").entries == len(mixed_batch)
     assert tree.get("/counts/multiplicity").entries == len(mixed_batch)
 
 
 def test_counter_process_fractions(mixed_batch):
-    tree = run_analysis(EventCounterAnalysis(), mixed_batch)
+    tree = run_analysis(load_analysis(counting.SOURCE), mixed_batch)
     process_hist = tree.get("/counts/process")
     zh = process_hist.bin_height(PROCESS_CODES["zh"])
     assert zh / process_hist.entries == pytest.approx(0.15, abs=0.02)
@@ -189,51 +218,41 @@ def test_counter_process_fractions(mixed_batch):
 
 def test_counter_staged_source(mixed_batch):
     staged = run_analysis(load_analysis(counting.SOURCE), mixed_batch)
-    assert staged.get("/counts/process").entries == len(mixed_batch)
+    assert sorted(staged.paths()) == ["/counts/multiplicity", "/counts/process"]
 
 
 # ---------------------------------------------------------------------------
-# SelectionCutAnalysis
+# Selection cuts
 # ---------------------------------------------------------------------------
-
-def test_cuts_validation():
-    with pytest.raises(ValueError):
-        SelectionCutAnalysis(min_energy=10, max_energy=5)
-
 
 def test_cuts_pass_fail_partition(mixed_batch):
-    analysis = SelectionCutAnalysis(min_energy=400.0)
-    tree = run_analysis(analysis, mixed_batch)
+    tree = run_analysis(
+        load_analysis(cuts.SOURCE, parameters={"min_energy": 400.0}), mixed_batch
+    )
     decision = tree.get("/cuts/decision")
     assert decision.entries == len(mixed_batch)
     passed = decision.bin_height(1)
     failed = decision.bin_height(0)
     assert passed + failed == len(mixed_batch)
-    assert tree.get("/cuts/energy_pass").entries == passed
-    assert tree.get("/cuts/energy_fail").entries == failed
+    assert 0 < passed < len(mixed_batch)
+    assert tree.get("/cuts/energy_pass").all_entries == passed
 
 
 def test_cuts_efficiency_monotone_in_threshold(mixed_batch):
     efficiencies = []
     for threshold in (0.0, 300.0, 450.0, 550.0):
-        analysis = SelectionCutAnalysis(min_energy=threshold)
-        tree = run_analysis(analysis, mixed_batch)
-        efficiencies.append(analysis.efficiency(tree))
+        analysis = load_analysis(cuts.SOURCE, parameters={"min_energy": threshold})
+        decision = run_analysis(analysis, mixed_batch).get("/cuts/decision")
+        efficiencies.append(decision.bin_height(1) / decision.entries)
     assert efficiencies[0] == pytest.approx(1.0)
     assert all(a >= b for a, b in zip(efficiencies, efficiencies[1:]))
-
-
-def test_cuts_efficiency_nan_when_empty():
-    analysis = SelectionCutAnalysis()
-    tree = run_analysis(analysis, EventBatch.empty())
-    assert np.isnan(analysis.efficiency(tree))
 
 
 def test_cuts_staged_source(mixed_batch):
     staged = run_analysis(
         load_analysis(cuts.SOURCE, parameters={"min_energy": 400.0}), mixed_batch
     )
-    assert staged.get("/cuts/decision").entries == len(mixed_batch)
+    assert sorted(staged.paths()) == ["/cuts/decision", "/cuts/energy_pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +282,15 @@ def test_trading_generator_deterministic():
 
 def test_trading_analysis_outputs():
     batch = generate_trading_days(200, seed=5)
-    tree = run_analysis(TradingRecordsAnalysis(), batch)
+    tree = run_analysis(load_analysis(trading.SOURCE), batch)
     assert tree.get("/trading/daily_volume").entries == 200
-    assert tree.get("/trading/daily_return").entries == 199  # first day has no return
     vwap = tree.get("/trading/vwap_by_day")
     assert vwap.entries == 200
     # VWAP close to the generated price scale.
     assert 50 < vwap.bin_height(0) < 200
 
 
-def test_trading_imbalance_bounded():
-    batch = generate_trading_days(100, seed=9)
-    tree = run_analysis(TradingRecordsAnalysis(), batch)
-    imbalance = tree.get("/trading/imbalance")
-    assert imbalance.all_entries == 100
-    assert imbalance.entries == imbalance.all_entries  # all within [-1, 1]
-
-
 def test_trading_staged_source():
     batch = generate_trading_days(50, seed=11)
     tree = run_analysis(load_analysis(trading.SOURCE), batch)
-    assert tree.get("/trading/daily_volume").entries == 50
+    assert sorted(tree.paths()) == ["/trading/daily_volume", "/trading/vwap_by_day"]

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.counting import EventCounterAnalysis
-from repro.analysis.higgs import HiggsSearchAnalysis
+from repro.analysis import counting
 from repro.dataset.format import write_dataset
 from repro.dataset.generator import ILCEventGenerator
-from repro.engine.base import AnalysisError
+from repro.engine.base import Analysis, AnalysisError
 from repro.engine.controls import ControlState
 from repro.engine.engine import AnalysisEngine
 from repro.engine.runner import run_local, run_parallel
@@ -26,7 +25,7 @@ def make_engine(batch, chunk=300, snapshot_every=1):
         "engine-0", chunk_events=chunk, snapshot_every_chunks=snapshot_every
     )
     engine.load_data(batch)
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     return engine
 
 
@@ -160,14 +159,14 @@ def test_engine_hot_reload_keeps_cursor(batch):
     engine = make_engine(batch, chunk=500)
     engine.controller.run()
     engine.process_chunk()
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     engine.controller.run()
     engine.process_chunk()
     assert engine.cursor == 1000
 
 
 def test_engine_failing_analysis_raises(batch):
-    class Bad(EventCounterAnalysis):
+    class Bad(Analysis):
         def process_batch(self, chunk, tree):
             raise RuntimeError("kaboom")
 
@@ -184,7 +183,7 @@ def test_engine_empty_dataset_completes():
 
     engine = AnalysisEngine("e")
     engine.load_data(EventBatch.empty())
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     total = engine.run_to_completion()
     assert total == 0
     assert engine.done

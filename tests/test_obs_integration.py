@@ -100,6 +100,37 @@ def test_disabled_run_is_identical_and_untelemetered(traced_run):
         assert getattr(baseline, phase) == getattr(traced_run, phase)
 
 
+def _count_payload_sizing(monkeypatch):
+    from repro.services import session
+
+    calls = []
+    real = session.payload_nbytes
+
+    def counting(tree):
+        calls.append(1)
+        return real(tree)
+
+    monkeypatch.setattr(session, "payload_nbytes", counting)
+    return calls
+
+
+def test_snapshot_payload_not_sized_when_obs_off(monkeypatch):
+    calls = _count_payload_sizing(monkeypatch)
+    run_grid_experiment(96.0, 2, events_per_mb=40, collect_tree=False)
+    assert calls == []
+
+
+def test_snapshot_payload_bytes_by_kind(monkeypatch):
+    calls = _count_payload_sizing(monkeypatch)
+    run = run_grid_experiment(
+        96.0, 2, events_per_mb=40, collect_tree=False, observability=True
+    )
+    assert calls
+    payload = run.obs.metrics.get("aida_snapshot_payload_bytes_total")
+    assert payload.value(kind="full") == 14307.0
+    assert payload.value(kind="delta") == 42918.0
+
+
 @pytest.mark.slow
 def test_telemetry_reproduces_table2_row(traced_run):
     """Regression: trace-derived phase totals still match the paper table."""

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.counting import EventCounterAnalysis
+from repro.analysis import counting
 from repro.dataset.generator import ILCEventGenerator
 from repro.engine.controls import ControlState
 from repro.engine.engine import AnalysisEngine
+from repro.engine.sandbox import load_analysis
 
 N_EVENTS = 600
 
@@ -44,7 +45,7 @@ def test_engine_invariants_under_arbitrary_controls(batch_cmds):
     batch = ILCEventGenerator(seed=5).generate(N_EVENTS)
     engine = AnalysisEngine("prop", chunk_events=100)
     engine.load_data(batch)
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     previous_cursor = 0
     previous_run = 0
     for command in batch_cmds:
@@ -73,7 +74,7 @@ def test_engine_can_always_finish_after_any_history(batch_cmds):
     batch = ILCEventGenerator(seed=5).generate(N_EVENTS)
     engine = AnalysisEngine("prop", chunk_events=100)
     engine.load_data(batch)
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     for command in batch_cmds:
         apply(engine, command)
     engine.controller.rewind()
@@ -92,7 +93,7 @@ def test_step_sequences_are_exact(steps):
     batch = ILCEventGenerator(seed=5).generate(N_EVENTS)
     engine = AnalysisEngine("prop", chunk_events=100)
     engine.load_data(batch)
-    engine.load_analysis(EventCounterAnalysis())
+    engine.load_analysis(load_analysis(counting.SOURCE))
     expected = 0
     for n in steps:
         engine.controller.step(n)
